@@ -14,6 +14,14 @@ namespace {
 
 std::string Num(double v) { return StrFormat("%.9g", v); }
 
+// The hash-index key of (canonical query text, cluster size).
+std::string IndexKey(std::string_view canonical_key, int workers) {
+  std::string key = std::to_string(workers);
+  key += '|';
+  key += canonical_key;
+  return key;
+}
+
 const char* KindName(FeedbackOp::Kind kind) {
   return kind == FeedbackOp::Kind::kStage ? "stage" : "exchange";
 }
@@ -106,41 +114,63 @@ const StrategyFeedback* QueryFeedback::FindFamily(
   return nullptr;
 }
 
+void FeedbackStore::Unlink(size_t slot) {
+  Links& l = lru_[slot];
+  (l.prev == kNoSlot ? oldest_ : lru_[l.prev].next) = l.next;
+  (l.next == kNoSlot ? newest_ : lru_[l.next].prev) = l.prev;
+  l = Links{};
+}
+
+void FeedbackStore::LinkAsNewest(size_t slot) {
+  lru_[slot].prev = newest_;
+  (newest_ == kNoSlot ? oldest_ : lru_[newest_].next) = slot;
+  newest_ = slot;
+}
+
 QueryFeedback* FeedbackStore::FindOrAdd(std::string_view query_key,
                                         int workers) {
-  // Keys are canonicalized on both sides, so "q(x) :- R(x,y), S(y,x)" and
-  // "Q(x):-S(y,x) AND R(x,y)." share one entry — and stores written before
-  // normalization existed keep matching.
-  const std::string key = NormalizeQueryText(query_key);
-  for (QueryFeedback& q : queries) {
-    if (NormalizeQueryText(q.query_key) == key && q.workers == workers) {
-      return &q;
-    }
+  // One normalization per call: stored keys are canonical already, so
+  // "q(x) :- R(x,y), S(y,x)" and "Q(x):-S(y,x) AND R(x,y)." share one entry.
+  std::string key = NormalizeQueryText(query_key);
+  std::string index_key = IndexKey(key, workers);
+  if (auto it = index_.find(index_key); it != index_.end()) {
+    Unlink(it->second);
+    LinkAsNewest(it->second);
+    return &queries[it->second];
   }
-  QueryFeedback q;
-  q.query_key = key;
+  size_t slot = queries.size();
+  if (queries.size() >= max_entries_) {
+    // Full: the least recently used entry gives up its slot.
+    slot = oldest_;
+    const QueryFeedback& evicted = queries[slot];
+    index_.erase(IndexKey(evicted.query_key, evicted.workers));
+    Unlink(slot);
+  } else {
+    queries.emplace_back();
+    lru_.emplace_back();
+  }
+  QueryFeedback& q = queries[slot];
+  q = QueryFeedback{};
+  q.query_key = std::move(key);
   q.workers = workers;
-  queries.push_back(std::move(q));
-  return &queries.back();
+  index_.emplace(std::move(index_key), slot);
+  LinkAsNewest(slot);
+  return &q;
 }
 
 const QueryFeedback* FeedbackStore::Find(std::string_view query_key,
                                          int workers) const {
-  const std::string key = NormalizeQueryText(query_key);
-  for (const QueryFeedback& q : queries) {
-    if (NormalizeQueryText(q.query_key) == key && q.workers == workers) {
-      return &q;
-    }
-  }
-  return nullptr;
+  const auto it =
+      index_.find(IndexKey(NormalizeQueryText(query_key), workers));
+  return it == index_.end() ? nullptr : &queries[it->second];
 }
 
 std::string FeedbackStore::ToJson() const {
   std::string out;
   out += StrFormat("{\"version\":%d,\"queries\":[", version);
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const QueryFeedback& q = queries[qi];
-    if (qi > 0) out += ",";
+  for (size_t slot = oldest_; slot != kNoSlot; slot = lru_[slot].next) {
+    const QueryFeedback& q = queries[slot];
+    if (slot != oldest_) out += ",";
     out += "{\"query\":" + JsonQuote(q.query_key);
     out += StrFormat(",\"workers\":%d,\"strategies\":[", q.workers);
     for (size_t si = 0; si < q.strategies.size(); ++si) {
@@ -198,16 +228,18 @@ Result<FeedbackStore> FeedbackStore::Parse(std::string_view json) {
       if (qv.kind != JsonValue::Kind::kObject) {
         return Status::InvalidArgument("feedback query is not an object");
       }
-      QueryFeedback q;
-      if (const JsonValue* key = qv.Find("query")) q.query_key = key->string;
-      q.workers = static_cast<int>(qv.NumberOr("workers", 0));
-      if (const JsonValue* strategies = qv.Find("strategies")) {
-        for (const JsonValue& sv : strategies->array) {
-          PTP_ASSIGN_OR_RETURN(StrategyFeedback s, ParseStrategy(sv));
-          q.strategies.push_back(std::move(s));
+      std::vector<StrategyFeedback> strategies;
+      if (const JsonValue* sv = qv.Find("strategies")) {
+        for (const JsonValue& s : sv->array) {
+          PTP_ASSIGN_OR_RETURN(StrategyFeedback parsed, ParseStrategy(s));
+          strategies.push_back(std::move(parsed));
         }
       }
-      store.queries.push_back(std::move(q));
+      const JsonValue* key = qv.Find("query");
+      QueryFeedback* q =
+          store.FindOrAdd(key != nullptr ? key->string : "",
+                          static_cast<int>(qv.NumberOr("workers", 0)));
+      q->strategies = std::move(strategies);
     }
   }
   return store;

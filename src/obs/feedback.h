@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -59,10 +60,9 @@ struct StrategyFeedback {
 
 /// All measured strategies for one (query, cluster-size) pair.
 struct QueryFeedback {
-  /// Canonical query text — the lookup key. Find/FindOrAdd compare keys
-  /// modulo NormalizeQueryText (query/normalize_text.h), so any spelling
-  /// of the query (Query::ToString(), hand-written text) resolves to the
-  /// same entry.
+  /// The lookup key: NormalizeQueryText (query/normalize_text.h) of the
+  /// text it was recorded or loaded under, so any spelling of the query
+  /// (Query::ToString(), hand-written text) resolves to the same entry.
   std::string query_key;
   int workers = 0;
   std::vector<StrategyFeedback> strategies;
@@ -79,17 +79,56 @@ struct QueryFeedback {
 /// writes and --feedback-in= loads. Re-recording a (query, workers) pair
 /// replaces its previous entry, so iterating runs converge on the latest
 /// measurements.
-struct FeedbackStore {
+///
+/// Lookups normalize the probe text once and go through a hash index on
+/// (canonical key, workers): O(1) in the number of entries. The store is
+/// an LRU bounded by `max_entries`: FindOrAdd marks its entry most recently
+/// used, and adding past the cap first evicts the least recently used
+/// entry, reusing its slot. Find never reorders.
+class FeedbackStore {
+ public:
+  static constexpr size_t kUnbounded = static_cast<size_t>(-1);
+
+  explicit FeedbackStore(size_t max_entries = kUnbounded)
+      : max_entries_(max_entries == 0 ? 1 : max_entries) {}
+
   int version = kFeedbackJsonVersion;
+  /// Entries by slot: insertion order, except that an evicted entry's
+  /// slot goes to the entry that evicted it. Read-only to callers — add
+  /// and update entries through FindOrAdd, which keeps the index in step.
   std::vector<QueryFeedback> queries;
 
+  /// The entry for (query_key, workers), added empty when absent. The
+  /// pointer is valid until the next FindOrAdd.
   QueryFeedback* FindOrAdd(std::string_view query_key, int workers);
   const QueryFeedback* Find(std::string_view query_key, int workers) const;
 
+  /// Entries are written least recently used first, so Parse (which adds
+  /// them in file order) restores the recency order too.
   std::string ToJson() const;
   Status WriteFile(const std::string& path) const;
+  /// Loaded keys are canonicalized; when two entries of a file share a
+  /// canonical key and cluster size, the later one wins.
   static Result<FeedbackStore> Parse(std::string_view json);
   static Result<FeedbackStore> LoadFile(const std::string& path);
+
+ private:
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+  /// Doubly linked LRU order over slots, parallel to `queries`.
+  struct Links {
+    size_t prev = kNoSlot;
+    size_t next = kNoSlot;
+  };
+
+  void Unlink(size_t slot);
+  void LinkAsNewest(size_t slot);
+
+  size_t max_entries_;
+  /// "<workers>|<canonical key>" -> slot.
+  std::unordered_map<std::string, size_t> index_;
+  std::vector<Links> lru_;
+  size_t oldest_ = kNoSlot;
+  size_t newest_ = kNoSlot;
 };
 
 /// Human-readable q-error audit of one query's feedback: per strategy, each

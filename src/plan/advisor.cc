@@ -144,27 +144,26 @@ int JoinIndexFromLabel(const std::string& label) {
 
 }  // namespace
 
-StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
-                              const QueryFeedback* feedback) {
-  StrategyAdvice advice;
+BlindEstimates ComputeBlindEstimates(const NormalizedQuery& query,
+                                     int num_workers) {
+  BlindEstimates blind;
   const double w = static_cast<double>(num_workers);
 
-  double total_input = 0;
   double largest = 0;
   for (const NormalizedAtom& atom : query.atoms) {
     const double card = static_cast<double>(atom.relation.NumTuples());
-    total_input += card;
+    blind.total_input += card;
     largest = std::max(largest, card);
   }
+  const double total_input = blind.total_input;
 
   // Regular shuffle: inputs plus every estimated intermediate is reshuffled.
   const std::vector<int> order = GreedyLeftDeepOrder(query);
   const std::vector<double> sizes = EstimateLeftDeepSizes(query, order);
-  advice.est_rs_tuples = total_input;
+  blind.est_rs_tuples = total_input;
   for (size_t i = 1; i + 1 < sizes.size(); ++i) {
-    advice.est_rs_tuples += sizes[i];
-    advice.est_max_intermediate =
-        std::max(advice.est_max_intermediate, sizes[i]);
+    blind.est_rs_tuples += sizes[i];
+    blind.est_max_intermediate = std::max(blind.est_max_intermediate, sizes[i]);
   }
   // The independence assumption badly underestimates the first join on
   // skewed data; replace its estimate with the exact frequency-vector size.
@@ -173,30 +172,29 @@ StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
         query.atoms[static_cast<size_t>(order[0])],
         query.atoms[static_cast<size_t>(order[1])]);
     if (sizes.size() > 1 && exact > sizes[1]) {
-      advice.est_rs_tuples += exact - (sizes.size() > 2 ? sizes[1] : 0.0);
-      advice.est_max_intermediate =
-          std::max(advice.est_max_intermediate, exact);
+      blind.est_rs_tuples += exact - (sizes.size() > 2 ? sizes[1] : 0.0);
+      blind.est_max_intermediate = std::max(blind.est_max_intermediate, exact);
     }
   }
 
   // Broadcast: everything but the largest relation goes to all workers.
-  advice.est_br_tuples = (total_input - largest) * w;
+  blind.est_br_tuples = (total_input - largest) * w;
 
   // HyperCube: per-atom replication under the Algorithm-1 configuration.
   ShareProblem problem = MakeShareProblem(query);
   ConfigChoice config = OptimizeShares(problem, num_workers);
-  advice.hc_config = config;
-  advice.est_hc_tuples = 0;
+  blind.hc_config = config;
+  blind.est_hc_tuples = 0;
   for (const NormalizedAtom& atom : query.atoms) {
     HypercubeRouter router(config.config, atom.variables);
-    advice.est_hc_tuples += static_cast<double>(atom.relation.NumTuples()) *
-                            router.ReplicationFactor();
+    blind.est_hc_tuples += static_cast<double>(atom.relation.NumTuples()) *
+                           router.ReplicationFactor();
   }
 
   // Probe-side reduction a sideways-passing bloom filter would buy on the
-  // first regular-shuffle round (refined from measured selectivity below
-  // when feedback from a bloom-enabled run exists).
-  advice.est_bloom_reduction = EstimateBloomReduction(query, order);
+  // first regular-shuffle round (AdviseFromEstimates replaces it with the
+  // measured selectivity when feedback from a bloom-enabled run exists).
+  blind.est_bloom_reduction = EstimateBloomReduction(query, order);
 
   // Heavy-hitter skew proxy on the first binary join's shared columns.
   if (order.size() >= 2) {
@@ -210,12 +208,26 @@ StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
       }
       const double avg_load =
           std::max(1.0, static_cast<double>(first.relation.NumTuples()) / w);
-      advice.est_rs_skew = std::max(
-          advice.est_rs_skew,
+      blind.est_rs_skew = std::max(
+          blind.est_rs_skew,
           static_cast<double>(MaxValueFrequency(first.relation, col)) /
               avg_load);
     }
   }
+  return blind;
+}
+
+StrategyAdvice AdviseFromEstimates(const BlindEstimates& blind,
+                                   const QueryFeedback* feedback) {
+  StrategyAdvice advice;
+  advice.est_rs_tuples = blind.est_rs_tuples;
+  advice.est_br_tuples = blind.est_br_tuples;
+  advice.est_hc_tuples = blind.est_hc_tuples;
+  advice.est_max_intermediate = blind.est_max_intermediate;
+  advice.est_rs_skew = blind.est_rs_skew;
+  advice.hc_config = blind.hc_config;
+  advice.est_bloom_reduction = blind.est_bloom_reduction;
+  const double total_input = blind.total_input;
 
   // Replace the guesses with measurements where the feedback has them.
   // Substituted values have q-error 1 by construction, so the blind-vs-
@@ -336,6 +348,12 @@ StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
                                   advice.feedback_max_qerror);
   }
   return advice;
+}
+
+StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
+                              const QueryFeedback* feedback) {
+  return AdviseFromEstimates(ComputeBlindEstimates(query, num_workers),
+                             feedback);
 }
 
 StrategyFeedback CollectStrategyFeedback(const NormalizedQuery& query,

@@ -52,6 +52,33 @@ struct StrategyAdvice {
   std::string rationale;
 };
 
+/// The data-dependent half of the advice: every estimate the decision
+/// reads, computed from the relations alone (no feedback). Producing it
+/// scans the inputs (exact first-join size, bloom reduction, heavy-hitter
+/// frequency), so a prepared plan computes it once and keeps it; the
+/// fields mirror StrategyAdvice's estimates of the same name.
+struct BlindEstimates {
+  /// Summed input cardinality — the scale of the "small intermediates"
+  /// test.
+  double total_input = 0;
+  double est_rs_tuples = 0;
+  double est_br_tuples = 0;
+  double est_hc_tuples = 0;
+  double est_max_intermediate = 0;
+  double est_rs_skew = 1.0;
+  double est_bloom_reduction = 0;
+  ConfigChoice hc_config;
+};
+
+/// The relation scans and the share optimization behind a recommendation.
+BlindEstimates ComputeBlindEstimates(const NormalizedQuery& query,
+                                     int num_workers);
+
+/// The cheap half: overlays `feedback` (may be null) on the blind
+/// estimates, then makes the Table-6 decision. No relation is read.
+StrategyAdvice AdviseFromEstimates(const BlindEstimates& blind,
+                                   const QueryFeedback* feedback);
+
 /// Implements the decision logic the paper's Table 6 summary distills:
 ///  * small intermediates + low skew  -> regular shuffle (TJ when the
 ///    per-round sorted data stays below the inputs, else HJ);
@@ -68,6 +95,9 @@ struct StrategyAdvice {
 /// tuples_shuffled, the max intermediate from recorded stage outputs, and
 /// the measured consumer skew of the regular-shuffle exchanges. A family
 /// whose every recorded run failed is never picked.
+///
+/// Equal to AdviseFromEstimates(ComputeBlindEstimates(query, num_workers),
+/// feedback), field for field.
 StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
                               const QueryFeedback* feedback = nullptr);
 

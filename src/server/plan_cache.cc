@@ -1,7 +1,10 @@
 #include "server/plan_cache.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 
+#include "common/hash.h"
 #include "query/normalize_text.h"
 #include "query/parser.h"
 
@@ -38,11 +41,15 @@ uint64_t EstimatePeakBytes(const NormalizedQuery& query,
                                sizeof(Value));
 }
 
-void PlanCache::TouchLocked(size_t index) {
-  if (index + 1 >= entries_.size()) return;  // already most recent
-  std::rotate(entries_.begin() + static_cast<ptrdiff_t>(index),
-              entries_.begin() + static_cast<ptrdiff_t>(index) + 1,
-              entries_.end());
+size_t PlanCache::IndexKeyHash::operator()(const IndexKey& k) const {
+  uint64_t h = std::hash<std::string_view>()(k.key);
+  h = HashCombine(h, static_cast<uint64_t>(k.workers));
+  return static_cast<size_t>(
+      HashCombine(h, reinterpret_cast<uintptr_t>(k.catalog)));
+}
+
+void PlanCache::TouchLocked(LruList::iterator it) {
+  lru_.splice(lru_.end(), lru_, it);
 }
 
 Result<PlanCache::Entry> PlanCache::Prepare(std::string_view text,
@@ -55,14 +62,12 @@ Result<PlanCache::Entry> PlanCache::Prepare(std::string_view text,
   }
   const std::string key = NormalizeQueryText(text);
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].key == key && entries_[i].workers == workers &&
-        entries_[i].catalog == catalog) {
-      ++stats_.hits;
-      if (was_hit != nullptr) *was_hit = true;
-      TouchLocked(i);
-      return entries_.back();
-    }
+  if (auto it = index_.find(IndexKey{key, workers, catalog});
+      it != index_.end()) {
+    ++stats_.hits;
+    if (was_hit != nullptr) *was_hit = true;
+    TouchLocked(it->second);
+    return *it->second;
   }
   ++stats_.misses;
 
@@ -79,54 +84,54 @@ Result<PlanCache::Entry> PlanCache::Prepare(std::string_view text,
       std::make_shared<const NormalizedQuery>(std::move(normalized));
   const QueryFeedback* qf =
       feedback != nullptr ? feedback->Find(key, workers) : nullptr;
-  e.advice = AdviseStrategy(*e.normalized, workers, qf);
+  e.blind = ComputeBlindEstimates(*e.normalized, workers);
+  e.advice = AdviseFromEstimates(e.blind, qf);
   e.est_peak_bytes = EstimatePeakBytes(*e.normalized, e.advice);
   ++stats_.parses;
-  entries_.push_back(e);
-  while (entries_.size() > max_entries_) {
+  if (lru_.size() >= max_entries_) {
     // Front is least recently used. The evicted query costs one re-parse
     // (and re-advise) when it comes back — never wrong results.
-    entries_.erase(entries_.begin());
+    const Entry& victim = lru_.front();
+    index_.erase(IndexKey{victim.key, victim.workers, victim.catalog});
+    lru_.pop_front();
     ++stats_.evictions;
   }
+  lru_.push_back(e);
+  const Entry& inserted = lru_.back();
+  index_.emplace(IndexKey{inserted.key, workers, catalog},
+                 std::prev(lru_.end()));
   return e;
 }
 
 void PlanCache::Refresh(std::string_view key, int workers,
                         const Catalog* catalog,
-                        const StrategyAdvice& advice,
+                        const QueryFeedback& feedback,
                         uint64_t measured_peak_bytes,
                         double measured_exec_seconds) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    Entry& e = entries_[i];
-    if (e.key == key && e.workers == workers && e.catalog == catalog) {
-      e.advice = advice;
-      if (measured_peak_bytes > 0) {
-        e.est_peak_bytes = measured_peak_bytes;
-        e.measured = true;
-      }
-      if (measured_exec_seconds > 0) {
-        e.est_exec_seconds = measured_exec_seconds;
-      }
-      ++e.executions;
-      ++stats_.refreshes;
-      TouchLocked(i);
-      return;
-    }
+  const auto it = index_.find(IndexKey{key, workers, catalog});
+  if (it == index_.end()) return;
+  Entry& e = *it->second;
+  e.advice = AdviseFromEstimates(e.blind, &feedback);
+  if (measured_peak_bytes > 0) {
+    e.est_peak_bytes = measured_peak_bytes;
+    e.measured = true;
   }
+  if (measured_exec_seconds > 0) {
+    e.est_exec_seconds = measured_exec_seconds;
+  }
+  ++e.executions;
+  ++stats_.refreshes;
+  TouchLocked(it->second);
 }
 
 bool PlanCache::Lookup(std::string_view key, int workers,
                        const Catalog* catalog, Entry* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& e : entries_) {
-    if (e.key == key && e.workers == workers && e.catalog == catalog) {
-      if (out != nullptr) *out = e;
-      return true;
-    }
-  }
-  return false;
+  const auto it = index_.find(IndexKey{key, workers, catalog});
+  if (it == index_.end()) return false;
+  if (out != nullptr) *out = *it->second;
+  return true;
 }
 
 PlanCache::Stats PlanCache::stats() const {
@@ -136,7 +141,7 @@ PlanCache::Stats PlanCache::stats() const {
 
 size_t PlanCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return lru_.size();
 }
 
 }  // namespace ptp

@@ -2,11 +2,12 @@
 #define PTP_SERVER_PLAN_CACHE_H_
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <unordered_map>
 
 #include "obs/feedback.h"
 #include "plan/advisor.h"
@@ -27,16 +28,19 @@ namespace ptp {
 /// stats() makes that observable (tests assert parses stays at the number
 /// of distinct queries while hits grow).
 ///
-/// Entries fold execution feedback back in via Refresh(): the advisor
-/// re-runs over the measured QueryFeedback, so the second execution of a
-/// hot query runs the strategy its first execution proved out, and the
-/// admission controller sees the measured peak instead of the estimate.
+/// Entries fold execution feedback back in via Refresh(): the advice is
+/// re-derived from the entry's blind estimates (computed once, at prepare)
+/// overlaid with the measured QueryFeedback, so the second execution of a
+/// hot query runs the strategy its first execution proved out without
+/// rescanning its relations, and the admission controller sees the
+/// measured peak instead of the estimate.
 /// Entries are bounded by an LRU cap (`max_entries`, default generous):
 /// every hit/refresh moves its entry to most-recently-used, and an insert
 /// past the cap evicts the least recently used entry — ad-hoc query text
 /// can no longer grow the cache without bound. An evicted query is simply
 /// re-parsed (and re-advised) on its next submission; stats().evictions
-/// makes the churn observable.
+/// makes the churn observable. A hash index over an LRU list makes hit,
+/// miss, refresh and eviction O(1) in the number of entries.
 class PlanCache {
  public:
   static constexpr size_t kDefaultMaxEntries = 1024;
@@ -54,6 +58,10 @@ class PlanCache {
     /// Shared, immutable after preparation: concurrent executions of the
     /// same entry read one materialized normalization.
     std::shared_ptr<const NormalizedQuery> normalized;
+    /// The advisor's data-dependent half, computed once at prepare:
+    /// refreshes overlay feedback on it (AdviseFromEstimates) instead of
+    /// rescanning the relations.
+    BlindEstimates blind;
     StrategyAdvice advice;
     /// Admission-control peak estimate: the advisor's byte guess until a
     /// run measured the real peak (then `measured` flips).
@@ -89,12 +97,14 @@ class PlanCache {
                         bool* was_hit = nullptr);
 
   /// Folds a measured run into the entry for (key, workers, catalog): new
-  /// advice, measured peak bytes, measured runtime, execution count.
-  /// Zero-valued measurements leave the previous value alone (a FAILed run
-  /// teaches the advisor but not the admission controller). Missing entries
-  /// are ignored (the cache never resurrects evicted state).
+  /// advice (AdviseFromEstimates over the entry's blind estimates and
+  /// `feedback`, the query's accumulated measurements), measured peak
+  /// bytes, measured runtime, execution count. Zero-valued measurements
+  /// leave the previous value alone (a FAILed run teaches the advisor but
+  /// not the admission controller). Missing entries are ignored (the cache
+  /// never resurrects evicted state).
   void Refresh(std::string_view key, int workers, const Catalog* catalog,
-               const StrategyAdvice& advice, uint64_t measured_peak_bytes,
+               const QueryFeedback& feedback, uint64_t measured_peak_bytes,
                double measured_exec_seconds = 0);
 
   /// Snapshot of the entry for (key, workers, catalog); false when absent.
@@ -105,13 +115,27 @@ class PlanCache {
   size_t size() const;
 
  private:
-  /// Entries kept in LRU order: front = least recently used, back = most.
-  /// Requires mu_; the caller passes the index of the entry just touched.
-  void TouchLocked(size_t index);
+  /// Index key. `key` views the entry's own Entry::key: list nodes never
+  /// move, so the view lives exactly as long as the entry.
+  struct IndexKey {
+    std::string_view key;
+    int workers;
+    const Catalog* catalog;
+    bool operator==(const IndexKey&) const = default;
+  };
+  struct IndexKeyHash {
+    size_t operator()(const IndexKey& k) const;
+  };
+  using LruList = std::list<Entry>;
+
+  /// Requires mu_. Marks the entry most recently used.
+  void TouchLocked(LruList::iterator it);
 
   mutable std::mutex mu_;
   const size_t max_entries_;
-  std::vector<Entry> entries_;
+  /// Front = least recently used, back = most.
+  LruList lru_;
+  std::unordered_map<IndexKey, LruList::iterator, IndexKeyHash> index_;
   Stats stats_;
 };
 

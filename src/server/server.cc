@@ -120,7 +120,8 @@ bool QueryServer::Session::Cancel(const std::string& id) {
 QueryServer::QueryServer(const ServerOptions& options)
     : options_(options),
       running_(!options.start_paused),
-      cache_(options.plan_cache_max_entries) {
+      cache_(options.plan_cache_max_entries),
+      feedback_(options.feedback_max_entries) {
   if (!options_.query_log_path.empty()) {
     query_log_ = std::make_unique<QueryLog>(options_.query_log_path);
   }
@@ -288,10 +289,11 @@ QueryHandle QueryServer::SubmitInternal(const std::string& id,
   // Overload shedding: a full admission queue refuses immediately with a
   // computed backoff instead of queueing without bound.
   double shed_retry_after = -1;
+  size_t queued = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (options_.max_queue_depth != 0 &&
-        small_.size() + large_.size() >= options_.max_queue_depth) {
+    queued = small_.size() + large_.size();
+    if (options_.max_queue_depth != 0 && queued >= options_.max_queue_depth) {
       ++stats_.rejected;
       ++stats_.shed;
       shed_retry_after = RetryAfterLocked();
@@ -308,8 +310,8 @@ QueryHandle QueryServer::SubmitInternal(const std::string& id,
     r.est_peak_bytes = p->est_peak_bytes;
     r.cost_class = p->small ? "small" : "large";
     r.status = Status::ResourceExhausted(StrFormat(
-        "admission queue full (%zu queued, cap %zu)",
-        options_.max_queue_depth, options_.max_queue_depth));
+        "admission queue full (%zu queued, cap %zu)", queued,
+        options_.max_queue_depth));
     r.retry_after_seconds = shed_retry_after;
     FinishRequest(p, std::move(r), /*shed=*/true, /*never_fits=*/false);
     return handle;
@@ -718,6 +720,8 @@ QueryResponse QueryServer::Execute(PendingQuery* p, bool* suspended) {
     // cached plan: the next execution of this query starts from what this
     // one measured (strategy upgrade + measured peak for admission).
     std::lock_guard<std::mutex> fb_lock(feedback_mu_);
+    // FindOrAdd marks the entry most recently used; adding past
+    // feedback_max_entries evicts the least recently used one.
     QueryFeedback* qf =
         feedback_.FindOrAdd(p->plan.key, p->request.workers);
     StrategyFeedback sf =
@@ -731,29 +735,11 @@ QueryResponse QueryServer::Execute(PendingQuery* p, bool* suspended) {
       }
     }
     if (!replaced) qf->strategies.push_back(std::move(sf));
-    const StrategyAdvice advice =
-        AdviseStrategy(*p->plan.normalized, p->request.workers, qf);
-    cache_.Refresh(p->plan.key, p->request.workers, p->request.catalog,
-                   advice,
+    cache_.Refresh(p->plan.key, p->request.workers, p->request.catalog, *qf,
                    sr.metrics.failed
                        ? 0
                        : static_cast<uint64_t>(sr.metrics.peak_bytes),
                    sr.metrics.failed ? 0 : p->exec_seconds);
-    // Bound the in-memory store like the plan cache: rotate the entry just
-    // touched to most-recently-used (invalidates qf), then trim the least
-    // recently used past the cap.
-    const size_t cap = std::max<size_t>(1, options_.feedback_max_entries);
-    const size_t touched =
-        static_cast<size_t>(qf - feedback_.queries.data());
-    if (touched + 1 < feedback_.queries.size()) {
-      std::rotate(
-          feedback_.queries.begin() + static_cast<ptrdiff_t>(touched),
-          feedback_.queries.begin() + static_cast<ptrdiff_t>(touched) + 1,
-          feedback_.queries.end());
-    }
-    while (feedback_.queries.size() > cap) {
-      feedback_.queries.erase(feedback_.queries.begin());
-    }
   }
   r.counters = p->counters->CounterSnapshot();
   r.lifecycle = p->lifecycle->stats();

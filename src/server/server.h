@@ -379,6 +379,9 @@ class QueryServer {
   Stats stats_;
 
   PlanCache cache_;
+  /// Guards feedback_. Held across PlanCache::Prepare at submit and across
+  /// the executor's fold (FindOrAdd + PlanCache::Refresh); always taken
+  /// before the cache's own mutex, never together with mu_.
   mutable std::mutex feedback_mu_;
   FeedbackStore feedback_;
 

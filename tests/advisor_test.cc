@@ -1,5 +1,6 @@
 #include "plan/advisor.h"
 
+#include "common/str_util.h"
 #include "data/workloads.h"
 #include "gtest/gtest.h"
 #include "query/parser.h"
@@ -73,6 +74,84 @@ TEST(AdvisorTest, BroadcastWhenCubeIsHighDimensional) {
   // Whatever wins, the estimates must reflect the 8-D cube's replication
   // burden relative to input size.
   EXPECT_GT(advice.est_hc_tuples, 4000 + 7 * 40);
+}
+
+// Every field of two advices, compared exactly: the split path must be
+// bit-identical to the one-shot advisor, not merely close.
+void ExpectSameAdvice(const StrategyAdvice& a, const StrategyAdvice& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.shuffle, b.shuffle) << what;
+  EXPECT_EQ(a.join, b.join) << what;
+  EXPECT_EQ(a.est_rs_tuples, b.est_rs_tuples) << what;
+  EXPECT_EQ(a.est_br_tuples, b.est_br_tuples) << what;
+  EXPECT_EQ(a.est_hc_tuples, b.est_hc_tuples) << what;
+  EXPECT_EQ(a.est_max_intermediate, b.est_max_intermediate) << what;
+  EXPECT_EQ(a.est_rs_skew, b.est_rs_skew) << what;
+  EXPECT_EQ(a.hc_config.config.join_vars, b.hc_config.config.join_vars)
+      << what;
+  EXPECT_EQ(a.hc_config.config.dims, b.hc_config.config.dims) << what;
+  EXPECT_EQ(a.hc_config.config.salt, b.hc_config.config.salt) << what;
+  EXPECT_EQ(a.hc_config.expected_load, b.hc_config.expected_load) << what;
+  EXPECT_EQ(a.hc_config.cells_used, b.hc_config.cells_used) << what;
+  EXPECT_EQ(a.est_bloom_reduction, b.est_bloom_reduction) << what;
+  EXPECT_EQ(a.use_bloom, b.use_bloom) << what;
+  EXPECT_EQ(a.used_feedback, b.used_feedback) << what;
+  EXPECT_EQ(a.blind_max_qerror, b.blind_max_qerror) << what;
+  EXPECT_EQ(a.feedback_max_qerror, b.feedback_max_qerror) << what;
+  EXPECT_EQ(a.rationale, b.rationale) << what;
+}
+
+// The blind estimates are computed once per prepared plan and every later
+// refresh only overlays feedback on them. For all eight paper queries and
+// every feedback input — none, or the measured run of each one of the six
+// strategies (bloom on, so regular-shuffle runs carry a measured
+// selectivity), under a normal and a FAIL-provoking budget — the overlay
+// on the one shared BlindEstimates equals a fresh AdviseStrategy.
+TEST(AdvisorTest, FeedbackOverlayOnBlindEstimatesEqualsAdviseStrategy) {
+  WorkloadScale scale;
+  scale.twitter.num_nodes = 400;
+  scale.twitter.num_edges = 2500;
+  scale.twitter.zipf_exponent = 0.7;
+  scale.freebase_scale = 0.08;
+  scale.seed = 99;
+  WorkloadFactory factory(scale);
+  constexpr int kWorkers = 8;
+  size_t failed_runs = 0;
+  for (int q : WorkloadFactory::AllQueries()) {
+    auto wl = factory.Make(q);
+    ASSERT_TRUE(wl.ok()) << wl.status().ToString();
+    const NormalizedQuery& nq = wl->normalized;
+    const BlindEstimates blind = ComputeBlindEstimates(nq, kWorkers);
+    ExpectSameAdvice(AdviseFromEstimates(blind, nullptr),
+                     AdviseStrategy(nq, kWorkers), wl->id + " blind");
+
+    for (size_t budget : {size_t{20'000'000}, size_t{200}}) {
+      StrategyOptions opts;
+      opts.num_workers = kWorkers;
+      opts.bloom = true;
+      opts.intermediate_budget = budget;
+      auto runs = RunAllStrategies(nq, opts);
+      ASSERT_TRUE(runs.ok()) << runs.status().ToString();
+      const auto strategies = AllStrategies();
+      ASSERT_EQ(runs->size(), strategies.size());
+      for (size_t i = 0; i < strategies.size(); ++i) {
+        const std::string name =
+            StrategyName(strategies[i].first, strategies[i].second);
+        QueryFeedback feedback;
+        feedback.query_key = wl->id;
+        feedback.workers = kWorkers;
+        feedback.strategies.push_back(
+            CollectStrategyFeedback(nq, name, (*runs)[i]));
+        failed_runs += feedback.strategies.back().failed ? 1 : 0;
+        ExpectSameAdvice(AdviseFromEstimates(blind, &feedback),
+                         AdviseStrategy(nq, kWorkers, &feedback),
+                         StrFormat("%s budget %zu after %s", wl->id.c_str(),
+                                   budget, name.c_str()));
+      }
+    }
+  }
+  // The small budget must actually have exercised the FAIL branches.
+  EXPECT_GT(failed_runs, 0u);
 }
 
 TEST(AdvisorTest, AdvisedPlanProducesCorrectResult) {

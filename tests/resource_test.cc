@@ -7,6 +7,7 @@
 // the EXPLAIN ANALYZE memory section (golden), and the disabled fast path
 // (which must not allocate).
 
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -24,8 +25,10 @@
 #include "obs/feedback.h"
 #include "obs/profile.h"
 #include "obs/resource.h"
+#include "obs/trace.h"
 #include "plan/advisor.h"
 #include "plan/strategies.h"
+#include "query/normalize_text.h"
 #include "query/parser.h"
 #include "runtime/parallel.h"
 #include "storage/catalog.h"
@@ -418,6 +421,73 @@ TEST(FeedbackStoreTest, FindOrAddKeysOnQueryAndWorkers) {
   store.FindOrAdd("q", 16);  // same query, different cluster size
   EXPECT_EQ(store.queries.size(), 2u);
   EXPECT_EQ(store.Find("q", 4), nullptr);
+}
+
+// A file written by hand (or by a build that kept raw keys) spells its key
+// non-canonically; loading canonicalizes it, so every spelling resolves.
+TEST(FeedbackStoreTest, LoadedNonCanonicalKeyResolvesFromAnySpelling) {
+  const std::string raw = "Q(x):-S(y,x) AND R(x,y).";
+  auto parsed = FeedbackStore::Parse(
+      "{\"version\":1,\"queries\":[{\"query\":" + JsonQuote(raw) +
+      ",\"workers\":16,\"strategies\":[{\"strategy\":\"RS_HJ\","
+      "\"tuples_shuffled\":42}]}]}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->queries.size(), 1u);
+  EXPECT_EQ(parsed->queries[0].query_key, NormalizeQueryText(raw));
+  const QueryFeedback* entry = &parsed->queries[0];
+  for (const char* spelling :
+       {"Q(x):-S(y,x) AND R(x,y).", "q(x) :- R(x, y), S(y, x)",
+        "  Q( x )  :-  R(x,y) ,\tS(y,x) ."}) {
+    EXPECT_EQ(parsed->Find(spelling, 16), entry) << spelling;
+    EXPECT_EQ(parsed->Find(NormalizeQueryText(spelling), 16), entry)
+        << spelling;
+  }
+  EXPECT_EQ(parsed->Find(raw, 8), nullptr);
+  EXPECT_DOUBLE_EQ(entry->FindStrategy("RS_HJ")->tuples_shuffled, 42);
+}
+
+TEST(FeedbackStoreTest, WriteFileLoadFileRoundTripsEntriesAndRecency) {
+  FeedbackStore store = HandBuiltStore();
+  StrategyFeedback hc;
+  hc.strategy = "HC_TJ";
+  hc.peak_bytes = 64;
+  store.FindOrAdd("P(x, z) :- R(x, y), S(y, z).", 8)->strategies.push_back(hc);
+  store.FindOrAdd("Q(x) :- R(x, y), S(y, x).", 16);  // now most recent
+  const std::string path =
+      ::testing::TempDir() + "feedback_store_round_trip.json";
+  ASSERT_TRUE(store.WriteFile(path).ok());
+  auto loaded = FeedbackStore::LoadFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::remove(path.c_str());
+  // Byte-identical re-serialization: every field and the recency order
+  // survive the trip.
+  EXPECT_EQ(loaded->ToJson(), store.ToJson());
+  ASSERT_EQ(loaded->queries.size(), 2u);
+  // The file lists the least recently used entry first: the path query,
+  // whose entry is older than the last FindOrAdd of the other one.
+  EXPECT_EQ(loaded->queries[0].workers, 8);
+  const QueryFeedback* path_q = loaded->Find("p(x,z):-S(y,z),R(x,y)", 8);
+  ASSERT_NE(path_q, nullptr);
+  EXPECT_DOUBLE_EQ(path_q->FindStrategy("HC_TJ")->peak_bytes, 64);
+  EXPECT_NE(loaded->Find("Q(x) :- R(x, y), S(y, x).", 16), nullptr);
+}
+
+TEST(FeedbackStoreTest, CapEvictsLeastRecentlyAddedOrUpdatedEntry) {
+  FeedbackStore store(/*max_entries=*/2);
+  store.FindOrAdd("a", 4);
+  store.FindOrAdd("b", 4);
+  store.Find("b", 4);       // a lookup does not count as use
+  store.FindOrAdd("a", 4);  // an update does: "b" is now the oldest
+  QueryFeedback* c = store.FindOrAdd("c", 4);
+  EXPECT_EQ(store.queries.size(), 2u);
+  EXPECT_EQ(store.Find("b", 4), nullptr);
+  EXPECT_NE(store.Find("a", 4), nullptr);
+  EXPECT_EQ(store.Find("c", 4), c);
+  // The evicted entry comes back empty, not with its old measurements.
+  store.FindOrAdd("a", 4)->strategies.push_back({});
+  EXPECT_TRUE(store.FindOrAdd("b", 4)->strategies.empty());
+  EXPECT_EQ(store.Find("c", 4), nullptr);
+  EXPECT_EQ(store.queries.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 // per-query sink isolation under concurrent executors (no cross-charged
 // counters or memory), admission control (permanent rejection, queue-then-
 // run when the pool frees, graceful hard-budget kResourceExhausted with
-// retry-after), deterministic two-level fair scheduling, and session id
-// assignment.
+// retry-after), deterministic two-level fair scheduling, session id
+// assignment, and the LRU-bounded plan cache and feedback store under
+// concurrent ad-hoc submitters.
 
 #include "server/server.h"
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "obs/counters.h"
@@ -496,6 +498,90 @@ TEST(ServerTest, FeedbackStoreIsBoundedByLru) {
   EXPECT_EQ(fb.queries[0].workers, 8);
 }
 
+// Ad-hoc traffic from several submitters at once, through a plan cache and
+// a feedback store far smaller than the working set: each submitter sends
+// distinct texts, and each text is also sent by one other submitter, so
+// hits, misses, evictions and refreshes of already-evicted entries
+// interleave. Nothing asserted depends on how the threads are scheduled.
+TEST(ServerTest, ConcurrentAdHocSubmittersStayCorrectAndBounded) {
+  auto catalog = MakeCatalog(71, 40, 8);
+  constexpr size_t kCap = 16;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 150;
+  constexpr int kDistinct = kThreads * kPerThread / 2;
+  ServerOptions so;
+  so.executors = 2;
+  so.plan_cache_max_entries = kCap;
+  so.feedback_max_entries = kCap;
+  QueryServer server(so);
+
+  auto text_of = [](int i) {
+    return i % 2 == 0
+               ? StrFormat("L(x,z) :- R(x,y), S(y,z), y = %d, z <= %d.",
+                           i % 8, i / 8)
+               : StrFormat("T(x,y,z) :- R(x,y), S(y,z), U(z,x), x >= %d, "
+                           "y != %d.",
+                           i % 8, i / 8);
+  };
+  struct Submitted {
+    std::string text;
+    QueryHandle handle;
+  };
+  std::vector<std::vector<Submitted>> submitted(kThreads);
+  std::atomic<bool> bounded{true};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      QueryServer::Session* session = server.OpenSession();
+      for (int k = 0; k < kPerThread; ++k) {
+        // Submitter t sends texts t*75 .. t*75+149 of the 300, wrapping.
+        std::string text = text_of((t * kPerThread / 2 + k) % kDistinct);
+        QueryHandle handle =
+            session->Submit(MakeRequest(catalog.get(), text));
+        handle.Get();  // closed loop: one request in flight per submitter
+        if (server.plan_cache().size() > kCap ||
+            server.SnapshotFeedback().queries.size() > kCap) {
+          bounded = false;
+        }
+        submitted[static_cast<size_t>(t)].push_back(
+            {std::move(text), std::move(handle)});
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  server.Drain();
+
+  EXPECT_TRUE(bounded) << "a cache outgrew its cap mid-run";
+  EXPECT_LE(server.plan_cache().size(), kCap);
+  EXPECT_LE(server.SnapshotFeedback().queries.size(), kCap);
+  const QueryServer::Stats stats = server.stats();
+  const PlanCache::Stats cache = server.plan_cache().stats();
+  EXPECT_EQ(stats.submitted, static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(cache.hits + cache.misses, stats.submitted - stats.rejected);
+  // Every distinct text misses at least once, and all but kCap of those
+  // entries must have been evicted again.
+  EXPECT_GE(cache.misses, static_cast<uint64_t>(kDistinct));
+  EXPECT_GE(cache.evictions, static_cast<uint64_t>(kDistinct) - kCap);
+
+  for (const std::vector<Submitted>& per_thread : submitted) {
+    for (const Submitted& sub : per_thread) {
+      const QueryResponse& r = sub.handle.Get();
+      ASSERT_TRUE(r.status.ok()) << r.id << ": " << r.status.ToString();
+      SoloRun solo = RunSolo(catalog.get(), sub.text, r.strategy, 4,
+                             /*faults=*/"", r.bloom);
+      EXPECT_TRUE(r.output.EqualsUnordered(solo.output)) << sub.text;
+      EXPECT_EQ(r.metrics.output_tuples, solo.metrics.output_tuples)
+          << sub.text;
+      EXPECT_EQ(r.metrics.TuplesShuffled(), solo.metrics.TuplesShuffled())
+          << sub.text;
+      EXPECT_EQ(r.metrics.peak_bytes, solo.metrics.peak_bytes) << sub.text;
+      EXPECT_EQ(r.counters, solo.counters) << sub.text << " (" << r.strategy
+                                           << ")";
+    }
+  }
+}
+
 // Feedback loop: the second execution of a hot query reuses the cached
 // plan and the cache carries the measured peak for admission.
 TEST(ServerTest, FeedbackRefreshesCachedPlan) {
@@ -696,7 +782,9 @@ TEST(ServerLifecycleTest, OverloadShedsWithComputedRetryAfter) {
   ASSERT_TRUE(c.Done());
   const QueryResponse& shed = c.Get();
   EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(shed.status.message().find("admission queue full"),
+  // The message reports the queue's real depth next to the cap.
+  EXPECT_NE(shed.status.message().find("admission queue full (2 queued, "
+                                       "cap 2)"),
             std::string::npos)
       << shed.status.ToString();
   // Not a placeholder: two queued not-yet-measured queries at the nominal
