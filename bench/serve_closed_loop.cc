@@ -178,6 +178,9 @@ int main(int argc, char** argv) {
     }
   }
   runtime::SetThreads(c.threads);
+  // The measured closed loop's pool size; the overhead phase below resets
+  // the pool to one thread before the JSON is written.
+  const int pool_threads = runtime::Threads();
 
   // Build the query mix once; every client draws from the same workloads
   // (and thus the same catalogs — the server is the only writer via
@@ -212,8 +215,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < workloads.size(); ++i) {
     std::cout << (i ? "," : "") << workloads[i].id;
   }
-  std::cout << ", W=" << c.workers << ", pool threads "
-            << runtime::Threads() << "\n";
+  std::cout << ", W=" << c.workers << ", pool threads " << pool_threads
+            << "\n";
 
   // The trace session must outlive the server (the server stitches
   // request spans into it until its destructor joins the executors).
@@ -481,7 +484,7 @@ int main(int argc, char** argv) {
   out << "{\n  \"config\": {\"queries\": " << c.queries
       << ", \"concurrency\": " << c.concurrency
       << ", \"workers\": " << c.workers
-      << ", \"pool_threads\": " << runtime::Threads()
+      << ", \"pool_threads\": " << pool_threads
       << ", \"seed\": " << c.seed
       << ", \"pool_bytes\": " << c.pool_bytes
       << ", \"query_budget_bytes\": " << c.query_budget_bytes << "},\n";

@@ -312,7 +312,8 @@ std::vector<int> ColumnIndices(const Schema& schema,
   return cols;
 }
 
-// Chooses / validates the TJ variable order.
+// Chooses the TJ variable order: an explicit StrategyOptions::var_order
+// wins, otherwise the Sec. 5 cost model over the query's atoms.
 std::vector<std::string> PickVarOrder(const NormalizedQuery& q,
                                       const StrategyOptions& opts) {
   if (!opts.var_order.empty()) return opts.var_order;
@@ -847,8 +848,10 @@ Result<StrategyResult> RunRegular(const NormalizedQuery& q, JoinKind join,
 // ---------------------------------------------------------------------------
 // Local one-round phase shared by broadcast and HyperCube plans.
 // ---------------------------------------------------------------------------
+// `var_order` is the Tributary join's order (unused for the hash join).
 Status RunLocalPhase(Ctx* ctx, JoinKind join,
-                     const std::vector<DistributedRelation>& shuffled) {
+                     const std::vector<DistributedRelation>& shuffled,
+                     const std::vector<std::string>& var_order) {
   const NormalizedQuery& q = *ctx->q;
   const StrategyOptions& opts = *ctx->opts;
   const int W = ctx->W;
@@ -873,12 +876,10 @@ Status RunLocalPhase(Ctx* ctx, JoinKind join,
   }
 
   std::vector<int> join_order;
-  std::vector<std::string> var_order;
   if (join == JoinKind::kHashJoin) {
     join_order = PickJoinOrder(q, opts);
     ctx->result.join_order_used = join_order;
   } else {
-    var_order = PickVarOrder(q, opts);
     ctx->result.var_order_used = var_order;
   }
 
@@ -1123,7 +1124,24 @@ Result<StrategyResult> RunBroadcast(const NormalizedQuery& q, JoinKind join,
     }
   }
 
-  PTP_RETURN_IF_ERROR(RunLocalPhase(&ctx, join, shuffled));
+  // Every worker joins full broadcast copies and a 1/W slice of the
+  // in-place atom, so the order is costed on those inputs, not on the global
+  // relations: starting on the sliced atom stops each worker enumerating
+  // the broadcast atoms' full value space. Round robin gives worker 0 the
+  // most in-place rows, so its fragments set the barrier. The inputs are
+  // immutable, so the order is the same at any thread count and on replay.
+  std::vector<std::string> var_order;
+  if (join == JoinKind::kTributary) {
+    var_order = opts.var_order;
+    if (var_order.empty()) {
+      std::vector<const Relation*> worker0;
+      for (const DistributedRelation& dist : shuffled) {
+        worker0.push_back(&dist[0]);
+      }
+      var_order = OptimizeVariableOrder(worker0).order;
+    }
+  }
+  PTP_RETURN_IF_ERROR(RunLocalPhase(&ctx, join, shuffled, var_order));
   return std::move(ctx.result);
 }
 
@@ -1195,7 +1213,13 @@ Result<StrategyResult> RunHypercube(const NormalizedQuery& q, JoinKind join,
     }
   }
 
-  PTP_RETURN_IF_ERROR(RunLocalPhase(&ctx, join, shuffled));
+  // Every atom is hashed into cells, so each worker holds a slice of every
+  // relation and the order stays costed on the global relations. (Costing
+  // one cell's inputs instead was measured mixed on the served mix.)
+  const std::vector<std::string> var_order =
+      join == JoinKind::kTributary ? PickVarOrder(q, opts)
+                                   : std::vector<std::string>();
+  PTP_RETURN_IF_ERROR(RunLocalPhase(&ctx, join, shuffled, var_order));
   return std::move(ctx.result);
 }
 

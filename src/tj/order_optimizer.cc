@@ -8,19 +8,27 @@
 namespace ptp {
 namespace {
 
-// Join variables (>= 2 atoms) and trailing local variables of a query.
-void SplitVariables(const NormalizedQuery& query,
+// Join variables (>= 2 inputs) and trailing local variables, each in
+// first-occurrence order over the inputs' schemas.
+void SplitVariables(const std::vector<const Relation*>& inputs,
                     std::vector<std::string>* join_vars,
                     std::vector<std::string>* local_vars) {
-  for (const std::string& var : query.Variables()) {
-    int count = 0;
-    for (const NormalizedAtom& atom : query.atoms) {
-      if (std::find(atom.variables.begin(), atom.variables.end(), var) !=
-          atom.variables.end()) {
-        ++count;
+  std::vector<std::string> vars;
+  std::vector<int> counts;
+  for (const Relation* input : inputs) {
+    const Schema& schema = input->schema();
+    for (size_t col = 0; col < schema.arity(); ++col) {
+      const auto it = std::find(vars.begin(), vars.end(), schema.name(col));
+      if (it == vars.end()) {
+        vars.push_back(schema.name(col));
+        counts.push_back(1);
+      } else {
+        ++counts[static_cast<size_t>(it - vars.begin())];
       }
     }
-    (count >= 2 ? join_vars : local_vars)->push_back(var);
+  }
+  for (size_t i = 0; i < vars.size(); ++i) {
+    (counts[i] >= 2 ? join_vars : local_vars)->push_back(vars[i]);
   }
 }
 
@@ -37,9 +45,14 @@ std::vector<const Relation*> InputPtrs(const NormalizedQuery& query) {
 
 OrderChoice OptimizeVariableOrder(const NormalizedQuery& query,
                                   const OrderOptimizerOptions& options) {
+  return OptimizeVariableOrder(InputPtrs(query), options);
+}
+
+OrderChoice OptimizeVariableOrder(const std::vector<const Relation*>& inputs,
+                                  const OrderOptimizerOptions& options) {
   std::vector<std::string> join_vars, local_vars;
-  SplitVariables(query, &join_vars, &local_vars);
-  TJCostModel model(InputPtrs(query));
+  SplitVariables(inputs, &join_vars, &local_vars);
+  TJCostModel model(inputs);
 
   OrderChoice best;
   best.estimated_cost = std::numeric_limits<double>::infinity();
@@ -94,9 +107,10 @@ OrderChoice OptimizeVariableOrder(const NormalizedQuery& query,
 
 std::vector<OrderChoice> EnumerateOrders(const NormalizedQuery& query,
                                          size_t max_orders) {
+  const std::vector<const Relation*> inputs = InputPtrs(query);
   std::vector<std::string> join_vars, local_vars;
-  SplitVariables(query, &join_vars, &local_vars);
-  TJCostModel model(InputPtrs(query));
+  SplitVariables(inputs, &join_vars, &local_vars);
+  TJCostModel model(inputs);
 
   std::vector<OrderChoice> choices;
   std::vector<std::string> perm = join_vars;

@@ -29,6 +29,14 @@ struct OrderOptimizerOptions {
 OrderChoice OptimizeVariableOrder(const NormalizedQuery& query,
                                   const OrderOptimizerOptions& options = {});
 
+/// Same, costed on `inputs` instead of the query's atoms. Variables are
+/// named by each input's schema, as TributaryJoin requires; a variable is a
+/// join variable when two or more inputs carry it. The query-level call is
+/// this one over the atoms' relations. A broadcast plan passes one worker's
+/// fragments, whose in-place slice is far smaller than the global relation.
+OrderChoice OptimizeVariableOrder(const std::vector<const Relation*>& inputs,
+                                  const OrderOptimizerOptions& options = {});
+
 /// Enumerates every global order (join-variable permutations + trailing
 /// locals) with its estimated cost — used by the Fig. 12 experiment to
 /// sample random orders. Capped at `max_orders` permutations.

@@ -1,5 +1,9 @@
 #include "tj/cost_model.h"
 
+#include <algorithm>
+
+#include "data/workloads.h"
+#include "exec/cluster.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "tj/order_optimizer.h"
@@ -149,6 +153,67 @@ TEST(OrderOptimizerTest, EstimatedCostCorrelatesWithSeeks) {
     worst_seeks = std::max(worst_seeks, static_cast<double>(m.seeks));
   }
   EXPECT_LE(best_seeks, worst_seeks);
+}
+
+// Q6 (two back-to-back triangles) on a small skewed Twitter graph.
+NormalizedQuery TwoRings() {
+  WorkloadScale scale;
+  scale.twitter.num_nodes = 400;
+  scale.twitter.num_edges = 2500;
+  scale.twitter.zipf_exponent = 0.8;
+  scale.seed = 7;
+  WorkloadFactory factory(scale);
+  auto wl = factory.Make(6);
+  PTP_CHECK(wl.ok()) << wl.status().ToString();
+  return std::move(wl).value().normalized;
+}
+
+std::vector<const Relation*> AtomRelations(const NormalizedQuery& q) {
+  std::vector<const Relation*> inputs;
+  for (const NormalizedAtom& atom : q.atoms) inputs.push_back(&atom.relation);
+  return inputs;
+}
+
+TEST(OrderOptimizerTest, InputLevelCallOnAtomsMatchesQueryLevelCall) {
+  Rng rng(14);
+  NormalizedQuery triangle;
+  triangle.atoms.push_back(
+      {{"x", "y"}, test::RandomBinaryRelation("R", {"x", "y"}, 200, 30, &rng)});
+  triangle.atoms.push_back(
+      {{"y", "z"}, test::RandomBinaryRelation("S", {"y", "z"}, 50, 30, &rng)});
+  triangle.atoms.push_back(
+      {{"z", "x"}, test::RandomBinaryRelation("T", {"z", "x"}, 200, 30, &rng)});
+  triangle.atoms.push_back(
+      {{"x", "w"}, test::RandomBinaryRelation("L", {"x", "w"}, 20, 30, &rng)});
+  for (const NormalizedQuery& q : {triangle, TwoRings()}) {
+    const OrderChoice by_query = OptimizeVariableOrder(q);
+    const OrderChoice by_inputs = OptimizeVariableOrder(AtomRelations(q));
+    EXPECT_EQ(by_inputs.order, by_query.order);
+    EXPECT_DOUBLE_EQ(by_inputs.estimated_cost, by_query.estimated_cost);
+  }
+}
+
+TEST(OrderOptimizerTest, BroadcastShapedInputsStartOnTheSlicedAtom) {
+  // One broadcast worker's inputs: full copies of every atom but one, and
+  // a 1/W round-robin slice of that one (the in-place atom).
+  const NormalizedQuery q = TwoRings();
+  constexpr int kWorkers = 16;
+  const size_t sliced = 0;
+  const Relation slice =
+      PartitionRoundRobin(q.atoms[sliced].relation, kWorkers)[0];
+  std::vector<const Relation*> inputs = AtomRelations(q);
+  inputs[sliced] = &slice;
+
+  const std::vector<std::string>& vars = q.atoms[sliced].variables;
+  const auto starts_sliced = [&](const std::vector<std::string>& order) {
+    return std::find(vars.begin(), vars.end(), order[0]) != vars.end();
+  };
+  // On the global relations the model starts elsewhere ...
+  EXPECT_FALSE(starts_sliced(OptimizeVariableOrder(q).order));
+  // ... but one worker's inputs make the sliced atom the cheap start.
+  const OrderChoice worker = OptimizeVariableOrder(inputs);
+  EXPECT_TRUE(starts_sliced(worker.order)) << worker.order[0];
+  EXPECT_EQ(worker.order.size(), q.Variables().size());
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "bench_util/report.h"
 #include "common/logging.h"
 #include "gtest/gtest.h"
@@ -20,28 +19,6 @@
 #include "test_util.h"
 #include "tj/order_optimizer.h"
 #include "tj/tributary_join.h"
-
-// Global allocation counter for the disabled-fast-path test: tracing that is
-// switched off must not allocate. Overriding operator new in this TU covers
-// the whole test binary; only the marked sections read the counter.
-namespace {
-size_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ptp {
 namespace {
@@ -266,7 +243,7 @@ TEST(SpanTest, NullSessionIsNoop) {
 TEST(SpanTest, DisabledPathEmitsNoEventsAndDoesNotAllocate) {
   SetActiveTraceSession(nullptr);
   SetActiveCounterRegistry(nullptr);
-  const size_t before = g_alloc_count;
+  const size_t before = test::AllocCount();
   for (int i = 0; i < 1000; ++i) {
     Span span("hot loop", WorkerTrack(1));
     if (CounterRegistry* reg = ActiveCounterRegistry()) {
@@ -276,7 +253,7 @@ TEST(SpanTest, DisabledPathEmitsNoEventsAndDoesNotAllocate) {
       trace->Counter("never", 1.0);
     }
   }
-  EXPECT_EQ(g_alloc_count, before)
+  EXPECT_EQ(test::AllocCount(), before)
       << "disabled instrumentation must not allocate";
 }
 

@@ -6,14 +6,13 @@
 // not allocate).
 
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "common/hash.h"
 #include "data/workloads.h"
 #include "exec/cluster.h"
@@ -27,27 +26,6 @@
 #include "plan/strategies.h"
 #include "runtime/parallel.h"
 #include "test_util.h"
-
-// Global allocation counter for the disabled-fast-path test (same idiom as
-// obs_test.cc): profiling that is switched off must not allocate.
-namespace {
-size_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ptp {
 namespace {
@@ -590,7 +568,7 @@ TEST(ProfileReportTest, GoldenSectionForHandBuiltProfile) {
 
 TEST(ProfileDisabledTest, NullProfileHooksDoNotAllocate) {
   SetActiveQueryProfile(nullptr);
-  const size_t before = g_alloc_count;
+  const size_t before = test::AllocCount();
   uint64_t sink = 0;
   for (int i = 0; i < 1000; ++i) {
     if (QueryProfile* p = ActiveQueryProfile()) {
@@ -599,7 +577,7 @@ TEST(ProfileDisabledTest, NullProfileHooksDoNotAllocate) {
     }
   }
   EXPECT_EQ(sink, 0u);
-  EXPECT_EQ(g_alloc_count, before)
+  EXPECT_EQ(test::AllocCount(), before)
       << "disabled profiler probe must not allocate";
 }
 

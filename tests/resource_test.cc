@@ -8,14 +8,13 @@
 // (which must not allocate).
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "data/workloads.h"
 #include "exec/shuffle.h"
 #include "fault/fault.h"
@@ -33,27 +32,6 @@
 #include "runtime/parallel.h"
 #include "storage/catalog.h"
 #include "test_util.h"
-
-// Global allocation counter for the disabled-fast-path test (same idiom as
-// profile_test.cc): metering that is switched off must not allocate.
-namespace {
-size_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ptp {
 namespace {
@@ -667,7 +645,7 @@ TEST(ExplainMemoryTest, ExplainAppendsMemorySectionWhenMeterGiven) {
 
 TEST(ResourceDisabledTest, NullMeterHooksDoNotAllocate) {
   SetActiveResourceMeter(nullptr);
-  const size_t before = g_alloc_count;
+  const size_t before = test::AllocCount();
   for (int i = 0; i < 1000; ++i) {
     MemCharge(MemCategory::kHashTable, 128);
     MemRelease(128);
@@ -676,7 +654,7 @@ TEST(ResourceDisabledTest, NullMeterHooksDoNotAllocate) {
       ADD_FAILURE() << "meter unexpectedly installed";
     }
   }
-  EXPECT_EQ(g_alloc_count, before)
+  EXPECT_EQ(test::AllocCount(), before)
       << "disabled meter hooks must not allocate";
 }
 

@@ -1,9 +1,14 @@
 #include "plan/strategies.h"
 
+#include <algorithm>
+
+#include "data/workloads.h"
 #include "gtest/gtest.h"
+#include "obs/counters.h"
 #include "query/parser.h"
 #include "runtime/parallel.h"
 #include "test_util.h"
+#include "tj/order_optimizer.h"
 
 namespace ptp {
 namespace {
@@ -309,6 +314,68 @@ TEST(StrategiesTest, MetricsArePopulated) {
   EXPECT_GE(m.TotalCpuSeconds(), m.wall_seconds * 0.99);
   EXPECT_EQ(m.worker_seconds.size(), 8u);
   EXPECT_EQ(m.output_tuples, result->output.NumTuples());
+}
+
+// Runs one strategy under a fresh counter registry; returns the summed
+// tj.seeks (a plain sum, so the same at any thread count).
+uint64_t RunCountingSeeks(const NormalizedQuery& q, ShuffleKind shuffle,
+                          JoinKind join, const StrategyOptions& opts,
+                          StrategyResult* out) {
+  CounterRegistry registry;
+  CounterRegistry* prev = SetActiveCounterRegistry(&registry);
+  auto result = RunStrategy(q, shuffle, join, opts);
+  SetActiveCounterRegistry(prev);
+  PTP_CHECK(result.ok()) << result.status().ToString();
+  PTP_CHECK(!result->metrics.failed) << result->metrics.fail_reason;
+  *out = std::move(result).value();
+  return registry.Value("tj.seeks");
+}
+
+TEST(StrategiesTest, BroadcastTributaryCostsOrderOnOneWorkersInputs) {
+  // Q6 (two back-to-back triangles): a broadcast worker holds full copies
+  // of four atoms and a 1/W slice of the in-place one, so the order must
+  // start on the sliced atom rather than on the global cost model's pick.
+  WorkloadScale scale;
+  scale.twitter.num_nodes = 400;
+  scale.twitter.num_edges = 2500;
+  scale.twitter.zipf_exponent = 0.8;
+  scale.seed = 7;
+  WorkloadFactory factory(scale);
+  auto wl = factory.Make(6);
+  ASSERT_TRUE(wl.ok()) << wl.status().ToString();
+  const NormalizedQuery& q = wl->normalized;
+  StrategyOptions opts;
+  opts.num_workers = 16;
+
+  // RunBroadcast keeps the first largest atom in place.
+  size_t in_place = 0;
+  for (size_t i = 1; i < q.atoms.size(); ++i) {
+    if (q.atoms[i].relation.NumTuples() >
+        q.atoms[in_place].relation.NumTuples()) {
+      in_place = i;
+    }
+  }
+  const std::vector<std::string>& sliced = q.atoms[in_place].variables;
+
+  StrategyResult br, forced, hc;
+  const uint64_t seeks = RunCountingSeeks(q, ShuffleKind::kBroadcast,
+                                          JoinKind::kTributary, opts, &br);
+  ASSERT_FALSE(br.var_order_used.empty());
+  EXPECT_TRUE(std::find(sliced.begin(), sliced.end(),
+                        br.var_order_used[0]) != sliced.end())
+      << "order starts on " << br.var_order_used[0];
+
+  StrategyOptions global = opts;
+  global.var_order = OptimizeVariableOrder(q).order;
+  const uint64_t global_seeks = RunCountingSeeks(
+      q, ShuffleKind::kBroadcast, JoinKind::kTributary, global, &forced);
+  EXPECT_EQ(forced.var_order_used, global.var_order);
+  EXPECT_LT(seeks, global_seeks);
+
+  RunCountingSeeks(q, ShuffleKind::kHypercube, JoinKind::kTributary, opts,
+                   &hc);
+  EXPECT_TRUE(br.output.EqualsUnordered(hc.output));
+  EXPECT_TRUE(forced.output.EqualsUnordered(hc.output));
 }
 
 }  // namespace
