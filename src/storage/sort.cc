@@ -276,34 +276,4 @@ void SortRowsLex(std::vector<Value>* data, size_t arity) {
   RadixSortRows(data, arity, parallel);
 }
 
-size_t LowerBoundRows(const std::vector<Value>& data, size_t arity, size_t lo,
-                      size_t hi, const Value* key, size_t prefix_len) {
-  PTP_DCHECK(prefix_len <= arity);
-  const Value* base = data.data();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (CompareRows(base + mid * arity, key, prefix_len) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-size_t UpperBoundRows(const std::vector<Value>& data, size_t arity, size_t lo,
-                      size_t hi, const Value* key, size_t prefix_len) {
-  PTP_DCHECK(prefix_len <= arity);
-  const Value* base = data.data();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (CompareRows(base + mid * arity, key, prefix_len) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 }  // namespace ptp

@@ -23,16 +23,6 @@ namespace ptp {
 /// back to the seed's direct std::sort. See docs/KERNELS.md.
 void SortRowsLex(std::vector<Value>* data, size_t arity);
 
-/// Number of rows in the half-open row range [lo, hi) of `data` whose first
-/// `prefix_len` columns are strictly less than `key` (lexicographically).
-/// This is the binary-search primitive behind TrieIterator::Seek.
-size_t LowerBoundRows(const std::vector<Value>& data, size_t arity, size_t lo,
-                      size_t hi, const Value* key, size_t prefix_len);
-
-/// Like LowerBoundRows but counts rows less-than-or-equal (upper bound).
-size_t UpperBoundRows(const std::vector<Value>& data, size_t arity, size_t lo,
-                      size_t hi, const Value* key, size_t prefix_len);
-
 /// Test hook: row-count thresholds above which SortRowsLex takes the radix
 /// path / the parallel radix path. Returns the previous values; pass the
 /// result back to restore. Conformance tests force {1, 1} so tiny workloads

@@ -27,71 +27,61 @@ struct ResolvedPredicate {
   int ready_depth;
 };
 
+// Trie storage and cursors of one join: the inputs permuted to the global
+// order and sorted (array backend) or built into B+-trees (B-tree backend).
+struct PreparedJoin {
+  std::vector<Relation> sorted;  // rows move into `trees` on the B-tree path
+  std::vector<std::unique_ptr<BPlusTree>> trees;
+  std::vector<std::unique_ptr<TrieCursor>> cursors;  // one per input
+  // iters_per_depth[d] = inputs whose trie level matching var_order[d]
+  // exists (i.e. atoms containing that variable).
+  std::vector<std::vector<int>> iters_per_depth;
+  std::vector<ResolvedPredicate> preds;
+  double sort_seconds = 0;
+  /// Trie storage bytes (sorted arrays or B+-tree rows — same row count
+  /// either way), held live until the join finishes.
+  ScopedMemCharge trie_mem;
+};
+
 // The recursive join driver (paper Sec. 2.2: find a value for the current
 // variable via leapfrog intersection, then recurse into the residual query).
+// Instantiated on the backend's concrete cursor type so the inner loop makes
+// no virtual calls; the B-tree backend uses the TrieCursor instantiation.
+// Keeps one leapfrog (with its cursor vector) per depth and re-initialises
+// it at every trie node, so the recursion allocates nothing per node.
+template <typename Cursor>
 class Joiner {
  public:
-  // Takes ownership of the trie storage (sorted relations or B+-trees) and
-  // the cursors over it.
-  Joiner(std::vector<Relation> sorted_inputs,
-         std::vector<std::unique_ptr<BPlusTree>> trees,
-         std::vector<std::unique_ptr<TrieCursor>> cursors,
-         std::vector<std::vector<int>> iters_per_depth,
-         std::vector<ResolvedPredicate> preds, size_t num_vars,
+  // `prepared` must outlive the joiner; its cursors must be `Cursor`s.
+  Joiner(const PreparedJoin& prepared, size_t num_vars,
          const TJOptions& options)
-      : inputs_(std::move(sorted_inputs)),
-        trees_(std::move(trees)),
-        iters_(std::move(cursors)),
-        iters_per_depth_(std::move(iters_per_depth)),
-        preds_(std::move(preds)),
+      : iters_per_depth_(prepared.iters_per_depth),
+        preds_(prepared.preds),
         num_vars_(num_vars),
-        options_(options) {
-    binding_.resize(num_vars_);
-    lf_stats_.resize(num_vars_);
+        options_(options),
+        binding_(num_vars),
+        leapfrogs_(num_vars),
+        lf_stats_(num_vars) {
+    cursors_.reserve(prepared.cursors.size());
+    for (const auto& cursor : prepared.cursors) {
+      cursors_.push_back(static_cast<Cursor*>(cursor.get()));
+    }
+    for (size_t d = 0; d < num_vars_; ++d) {
+      leapfrogs_[d].cursors().reserve(iters_per_depth_[d].size());
+    }
   }
 
+  // Appends the join result to `out`, or only counts it when `out` is null.
   Status Run(Relation* out) {
     out_ = out;
-    PTP_RETURN_IF_ERROR(Recurse(0));
-    return Status::OK();
+    return Recurse(0);
   }
 
-  /// Count-only run: no materialization; returns the result cardinality.
-  Result<size_t> RunCount() {
-    out_ = nullptr;
-    PTP_RETURN_IF_ERROR(Recurse(0));
-    return count_;
-  }
+  // Result rows found (appended or counted) so far.
+  size_t count() const { return count_; }
 
-  size_t TotalSeeks() const {
-    size_t total = 0;
-    for (const auto& it : iters_) total += it->num_seeks();
-    return total;
-  }
-
-  size_t TotalNexts() const {
-    size_t total = 0;
-    for (const auto& it : iters_) total += it->num_nexts();
-    return total;
-  }
-
-  size_t TotalOpens() const {
-    size_t total = 0;
-    for (const auto& it : iters_) total += it->num_opens();
-    return total;
-  }
-
-  size_t TotalUps() const {
-    size_t total = 0;
-    for (const auto& it : iters_) total += it->num_ups();
-    return total;
-  }
-
-  size_t TotalGallopSteps() const {
-    size_t total = 0;
-    for (const auto& it : iters_) total += it->num_gallop_steps();
-    return total;
-  }
+  // Seeks the cursors counted so far; the max_seeks budget compares this.
+  size_t seeks() const { return seeks_; }
 
   /// Per-variable leapfrog stats: lf_stats()[d] covers the intersections
   /// that bound var_order[d].
@@ -111,7 +101,8 @@ class Joiner {
   }
 
   Status Recurse(int depth) {
-    if (static_cast<size_t>(depth) == num_vars_) {
+    const size_t d = static_cast<size_t>(depth);
+    if (d == num_vars_) {
       ++count_;
       if (out_ != nullptr) out_->AddTuple(binding_);
       if (count_ > options_.max_output_rows) {
@@ -122,17 +113,17 @@ class Joiner {
       return Status::OK();
     }
 
-    const std::vector<int>& participating =
-        iters_per_depth_[static_cast<size_t>(depth)];
+    const std::vector<int>& participating = iters_per_depth_[d];
     PTP_DCHECK(!participating.empty());
 
     // Open the participating iterators one level deeper; if any relation has
     // no rows under the current prefix, the residual query is empty.
-    std::vector<TrieCursor*> open;
-    open.reserve(participating.size());
+    LeapfrogJoinT<Cursor>& leapfrog = leapfrogs_[d];
+    std::vector<Cursor*>& open = leapfrog.cursors();
+    open.clear();
     bool empty = false;
     for (int idx : participating) {
-      TrieCursor& it = *iters_[static_cast<size_t>(idx)];
+      Cursor& it = *cursors_[static_cast<size_t>(idx)];
       if (it.depth() >= 0 && it.AtEnd()) {
         empty = true;
         break;
@@ -150,14 +141,14 @@ class Joiner {
     }
     Status status;
     if (!empty) {
-      LeapfrogJoin leapfrog(open, &lf_stats_[static_cast<size_t>(depth)]);
+      leapfrog.Init(&lf_stats_[d], &seeks_);
       while (!leapfrog.AtEnd()) {
-        binding_[static_cast<size_t>(depth)] = leapfrog.Key();
+        binding_[d] = leapfrog.Key();
         if (PredicatesHold(depth)) {
           status = Recurse(depth + 1);
           if (!status.ok()) break;
         }
-        if (TotalSeeks() > options_.max_seeks) {
+        if (seeks_ > options_.max_seeks) {
           status = Status::ResourceExhausted(StrFormat(
               "Tributary join exceeded %zu seeks", options_.max_seeks));
           break;
@@ -165,36 +156,23 @@ class Joiner {
         leapfrog.Next();
       }
     }
-    for (TrieCursor* it : open) it->Up();
+    // Init() may have reordered `open`; every cursor in it goes up once.
+    for (Cursor* it : open) it->Up();
     return status;
   }
 
-  std::vector<Relation> inputs_;
-  std::vector<std::unique_ptr<BPlusTree>> trees_;
-  std::vector<std::unique_ptr<TrieCursor>> iters_;
-  std::vector<std::vector<int>> iters_per_depth_;
-  std::vector<ResolvedPredicate> preds_;
+  const std::vector<std::vector<int>>& iters_per_depth_;
+  const std::vector<ResolvedPredicate>& preds_;
   size_t num_vars_;
   TJOptions options_;
+  std::vector<Cursor*> cursors_;  // not owned; one per input
   Tuple binding_;
-  std::vector<LeapfrogStats> lf_stats_;  // one per variable (depth)
+  std::vector<LeapfrogJoinT<Cursor>> leapfrogs_;  // one per variable (depth)
+  std::vector<LeapfrogStats> lf_stats_;           // one per variable (depth)
   Relation* out_ = nullptr;
   size_t count_ = 0;
+  size_t seeks_ = 0;
 };
-
-// Shared preparation for TributaryJoin / TributaryCount: permutes and sorts
-// (or tree-builds) the inputs and constructs the Joiner.
-struct PreparedJoin {
-  std::unique_ptr<Joiner> joiner;
-  double sort_seconds = 0;
-  /// Trie storage bytes (sorted arrays or B+-tree rows — same row count
-  /// either way), held live until the join finishes.
-  ScopedMemCharge trie_mem;
-};
-
-}  // namespace
-
-namespace {
 
 Result<PreparedJoin> Prepare(const std::vector<const Relation*>& inputs,
                              const std::vector<std::string>& var_order,
@@ -293,39 +271,81 @@ Result<PreparedJoin> Prepare(const std::vector<const Relation*>& inputs,
     resolved.push_back(r);
   }
 
-  // Cursors point at the Relation objects inside `storage`; moving the
-  // vector into Joiner transfers its heap buffer, so element addresses (and
-  // thus the cursors) stay valid.
-  std::vector<Relation> storage = std::move(sorted);
+  // Cursors point at the Relation objects inside `prepared.sorted`; moving
+  // the PreparedJoin transfers the vector's heap buffer, so element
+  // addresses (and thus the cursors) stay valid.
+  PreparedJoin prepared;
+  prepared.sorted = std::move(sorted);
   if (options.backend == TJBackend::kSortedArray) {
-    cursors.reserve(storage.size());
-    for (const Relation& rel : storage) {
+    cursors.reserve(prepared.sorted.size());
+    for (const Relation& rel : prepared.sorted) {
       cursors.push_back(std::make_unique<TrieIterator>(&rel));
     }
   }
-  PreparedJoin prepared;
+  prepared.trees = std::move(trees);
+  prepared.cursors = std::move(cursors);
+  prepared.iters_per_depth = std::move(iters_per_depth);
+  prepared.preds = std::move(resolved);
   prepared.sort_seconds = sort_seconds;
   prepared.trie_mem = ScopedMemCharge(MemCategory::kTrie, trie_bytes);
-  prepared.joiner = std::make_unique<Joiner>(
-      std::move(storage), std::move(trees), std::move(cursors),
-      std::move(iters_per_depth), std::move(resolved), var_order.size(),
-      options);
   return prepared;
 }
 
-// Fills `metrics` from the finished joiner and publishes the aggregated
+// What a finished join reports besides the cursors' own operation counts.
+struct JoinOutcome {
+  Status status;
+  size_t rows = 0;                      // result rows appended or counted
+  size_t budget_seeks = 0;              // the running count max_seeks bounds
+  std::vector<LeapfrogStats> lf_stats;  // one per variable
+};
+
+template <typename Cursor>
+JoinOutcome RunJoiner(const PreparedJoin& prepared, size_t num_vars,
+                      const TJOptions& options, Relation* out) {
+  Joiner<Cursor> joiner(prepared, num_vars, options);
+  JoinOutcome outcome;
+  outcome.status = joiner.Run(out);
+  outcome.rows = joiner.count();
+  outcome.budget_seeks = joiner.seeks();
+  outcome.lf_stats = joiner.lf_stats();
+  return outcome;
+}
+
+// Runs the prepared join on the cursor type of its backend: the array
+// backend's final TrieIterator (calls inlined), else the TrieCursor
+// interface. Appends to `out`, or only counts when `out` is null.
+JoinOutcome RunPrepared(const PreparedJoin& prepared, size_t num_vars,
+                        const TJOptions& options, Relation* out) {
+  if (options.backend == TJBackend::kSortedArray) {
+    return RunJoiner<TrieIterator>(prepared, num_vars, options, out);
+  }
+  return RunJoiner<TrieCursor>(prepared, num_vars, options, out);
+}
+
+// Fills `metrics` from the finished join and publishes the aggregated
 // trie-operation counts to the active counter registry (single batch after
 // the join — never per-tuple registry lookups on the hot path).
-void FinishTJMetrics(const Joiner& joiner,
+void FinishTJMetrics(const PreparedJoin& prepared, const JoinOutcome& outcome,
                      const std::vector<std::string>& var_order,
                      size_t output_tuples, TJMetrics* metrics) {
-  const std::vector<LeapfrogStats>& lf = joiner.lf_stats();
+  size_t seeks = 0, nexts = 0, opens = 0, ups = 0, gallop_steps = 0;
+  for (const auto& it : prepared.cursors) {
+    seeks += it->num_seeks();
+    nexts += it->num_nexts();
+    opens += it->num_opens();
+    ups += it->num_ups();
+    gallop_steps += it->num_gallop_steps();
+  }
+  // The budget's running count is exactly the cursors' own seek count.
+  PTP_DCHECK(outcome.budget_seeks == seeks);
+  const std::vector<LeapfrogStats>& lf = outcome.lf_stats;
   if (metrics != nullptr) {
-    metrics->seeks = joiner.TotalSeeks();
-    metrics->nexts = joiner.TotalNexts();
-    metrics->opens = joiner.TotalOpens();
-    metrics->ups = joiner.TotalUps();
-    metrics->gallop_steps = joiner.TotalGallopSteps();
+    metrics->sort_seconds = prepared.sort_seconds;
+    metrics->seeks = seeks;
+    metrics->nexts = nexts;
+    metrics->opens = opens;
+    metrics->ups = ups;
+    metrics->gallop_steps = gallop_steps;
     metrics->output_tuples = output_tuples;
     metrics->seeks_per_var.assign(var_order.size(), 0);
     for (size_t d = 0; d < lf.size() && d < var_order.size(); ++d) {
@@ -335,11 +355,11 @@ void FinishTJMetrics(const Joiner& joiner,
   CounterRegistry* reg = ActiveCounterRegistry();
   if (reg == nullptr) return;
   reg->Add("tj.joins", 1);
-  reg->Add("tj.seeks", joiner.TotalSeeks());
-  reg->Add("tj.nexts", joiner.TotalNexts());
-  reg->Add("tj.opens", joiner.TotalOpens());
-  reg->Add("tj.ups", joiner.TotalUps());
-  reg->Add("tj.gallop_steps", joiner.TotalGallopSteps());
+  reg->Add("tj.seeks", seeks);
+  reg->Add("tj.nexts", nexts);
+  reg->Add("tj.opens", opens);
+  reg->Add("tj.ups", ups);
+  reg->Add("tj.gallop_steps", gallop_steps);
   reg->Add("tj.output_tuples", output_tuples);
   for (size_t d = 0; d < lf.size() && d < var_order.size(); ++d) {
     reg->Add(std::string("tj.seeks.") + var_order[d], lf[d].seeks);
@@ -358,13 +378,10 @@ Result<Relation> TributaryJoin(const std::vector<const Relation*>& inputs,
                        Prepare(inputs, var_order, predicates, options));
   Timer join_timer;
   Relation out("tj_result", Schema(var_order));
-  Status status = prepared.joiner->Run(&out);
-  if (metrics != nullptr) {
-    metrics->sort_seconds = prepared.sort_seconds;
-    metrics->join_seconds = join_timer.Seconds();
-  }
-  FinishTJMetrics(*prepared.joiner, var_order, out.NumTuples(), metrics);
-  if (!status.ok()) return status;
+  JoinOutcome outcome = RunPrepared(prepared, var_order.size(), options, &out);
+  if (metrics != nullptr) metrics->join_seconds = join_timer.Seconds();
+  FinishTJMetrics(prepared, outcome, var_order, out.NumTuples(), metrics);
+  if (!outcome.status.ok()) return outcome.status;
   return out;
 }
 
@@ -375,14 +392,13 @@ Result<size_t> TributaryCount(const std::vector<const Relation*>& inputs,
   PTP_ASSIGN_OR_RETURN(PreparedJoin prepared,
                        Prepare(inputs, var_order, predicates, options));
   Timer join_timer;
-  Result<size_t> count = prepared.joiner->RunCount();
-  if (metrics != nullptr) {
-    metrics->sort_seconds = prepared.sort_seconds;
-    metrics->join_seconds = join_timer.Seconds();
-  }
-  FinishTJMetrics(*prepared.joiner, var_order, count.ok() ? *count : 0,
-                  metrics);
-  return count;
+  JoinOutcome outcome =
+      RunPrepared(prepared, var_order.size(), options, nullptr);
+  if (metrics != nullptr) metrics->join_seconds = join_timer.Seconds();
+  FinishTJMetrics(prepared, outcome, var_order,
+                  outcome.status.ok() ? outcome.rows : 0, metrics);
+  if (!outcome.status.ok()) return outcome.status;
+  return outcome.rows;
 }
 
 Result<Relation> TributaryJoinQuery(const NormalizedQuery& query,

@@ -43,16 +43,6 @@ class TrieCursor {
   /// Exponential-search (galloping) probe steps performed inside Seek(),
   /// for backends that gallop before binary-searching (tj.gallop_steps).
   virtual size_t num_gallop_steps() const { return 0; }
-  /// Seeks / nexts performed at trie level `depth` (0-based), when the
-  /// backend attributes them per level.
-  virtual size_t seeks_at_level(int depth) const {
-    (void)depth;
-    return 0;
-  }
-  virtual size_t nexts_at_level(int depth) const {
-    (void)depth;
-    return 0;
-  }
 };
 
 }  // namespace ptp

@@ -98,15 +98,6 @@ TEST(SortTest, GenericArityMatchesFixed) {
   EXPECT_EQ(flat, expected);
 }
 
-TEST(SortTest, LowerUpperBoundRows) {
-  std::vector<Value> data = {1, 1, 1, 2, 2, 1, 2, 2, 3, 1};  // arity 2
-  Value key2[] = {2, 0};
-  EXPECT_EQ(LowerBoundRows(data, 2, 0, 5, key2, 1), 2u);  // first row with a>=2
-  EXPECT_EQ(UpperBoundRows(data, 2, 0, 5, key2, 1), 4u);  // past last a<=2
-  Value key22[] = {2, 2};
-  EXPECT_EQ(LowerBoundRows(data, 2, 0, 5, key22, 2), 3u);
-}
-
 TEST(StatsTest, DistinctAndPrefixCounts) {
   Relation r("R", Schema{"a", "b"});
   r.AddTuple({1, 1});

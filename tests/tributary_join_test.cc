@@ -1,5 +1,9 @@
 #include "tj/tributary_join.h"
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -156,6 +160,54 @@ TEST(TributaryJoinTest, SeekBudgetTriggersResourceExhausted) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
+
+// The max_seeks budget compares a running count that must equal the seeks
+// the cursors count (TJMetrics::seeks): at exactly that many seeks the join
+// completes with the same output, one fewer fails. The largest x is the
+// largest Value, so the last top-level Next() finds the end without a seek
+// on either backend (the B-tree cursor otherwise counts a Next() as a
+// seek), and every seek precedes the last budget check.
+class TJSeekBudget : public ::testing::TestWithParam<TJBackend> {};
+
+TEST_P(TJSeekBudget, TripsExactlyAtTheCursorSeekCount) {
+  Rng rng(29);
+  Relation r = test::RandomBinaryRelation("R", {"x", "y"}, 150, 20, &rng);
+  Relation s = test::RandomBinaryRelation("S", {"y", "z"}, 150, 20, &rng);
+  Relation t = test::RandomBinaryRelation("T", {"z", "x"}, 150, 20, &rng);
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  r.AddTuple({kMax, 0});
+  t.AddTuple({0, kMax});
+  const std::vector<const Relation*> inputs = {&r, &s, &t};
+  const std::vector<std::string> order = {"x", "y", "z"};
+  TJOptions opts;
+  opts.backend = GetParam();
+  TJMetrics unbounded;
+  auto full = TributaryJoin(inputs, order, {}, opts, &unbounded);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_GT(full->NumTuples(), 0u);
+  const size_t seeks = unbounded.seeks;
+  ASSERT_GT(seeks, 0u);
+
+  opts.max_seeks = seeks;
+  TJMetrics at_budget;
+  auto exact = TributaryJoin(inputs, order, {}, opts, &at_budget);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(exact->data(), full->data());
+  EXPECT_EQ(at_budget.seeks, seeks);
+
+  opts.max_seeks = seeks - 1;
+  auto over = TributaryJoin(inputs, order, {}, opts);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, TJSeekBudget,
+    ::testing::Values(TJBackend::kSortedArray, TJBackend::kBTree),
+    [](const ::testing::TestParamInfo<TJBackend>& info) {
+      return std::string(info.param == TJBackend::kSortedArray ? "Array"
+                                                               : "BTree");
+    });
 
 TEST(TributaryJoinTest, MissingVariableInOrderIsInvalid) {
   Relation r("R", Schema{"x", "y"});
